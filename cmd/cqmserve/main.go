@@ -10,7 +10,8 @@
 // reloaded with -model-watch) or, for self-contained runs, from an
 // in-process training pass (-train-seed). SIGINT/SIGTERM triggers a
 // graceful drain: admission stops, every already-admitted frame is
-// answered, then the process exits 0.
+// answered, then the process exits 0. A signal that arrives during
+// start-up is held until serving begins and then drains the same way.
 //
 // -adapt DIR turns on the self-healing model lifecycle: quality-engine
 // drift triggers feed an adaptation supervisor that shadow-retrains on a
@@ -90,6 +91,14 @@ func main() {
 }
 
 func run(opts options) error {
+	// Take over SIGINT/SIGTERM before training, model load or either
+	// listener: a signal that arrives during start-up is held here and
+	// answered with a drain once serving begins, instead of killing the
+	// process with the runtime's default action.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+
 	if opts.shards == 0 {
 		opts.shards = runtime.GOMAXPROCS(0)
 	}
@@ -285,8 +294,6 @@ func run(opts options) error {
 		}()
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	sig := <-stop
 	signal.Stop(stop)
 	fmt.Printf("received %s, draining\n", sig)

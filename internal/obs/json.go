@@ -47,7 +47,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return snap
 	}
 	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.series {
 			labels := labelMap(s.labels)
 			switch f.kind {
 			case kindCounter:

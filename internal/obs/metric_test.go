@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -168,5 +169,40 @@ func TestBucketGenerators(t *testing.T) {
 	exp := ExponentialBuckets(1, 10, 3)
 	if len(exp) != 3 || exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Errorf("ExponentialBuckets = %v", exp)
+	}
+}
+
+// TestScrapeDuringRegistration scrapes while another goroutine registers
+// new series, as /metrics does while never-seen sources join. Exposition
+// must copy the series out under the registry lock; reading a family's
+// map unlocked is a data race and can kill the process with a fatal
+// concurrent map read and write.
+func TestScrapeDuringRegistration(t *testing.T) {
+	const n = 20000
+	r := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			r.Counter("joins_total", "source", strconv.Itoa(i)).Inc()
+			r.Help("joins_total", "Joins, by source.")
+		}
+	}()
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case <-done:
+			snap := r.Snapshot()
+			if len(snap.Counters) != n {
+				t.Fatalf("%d counters after registration, want %d", len(snap.Counters), n)
+			}
+			return
+		default:
+		}
+		if err := r.WritePrometheus(discard{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteJSON(discard{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

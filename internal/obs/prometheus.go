@@ -25,8 +25,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.sortedSeries() {
-			if err := writeSeries(w, f, s); err != nil {
+		for _, s := range f.series {
+			if err := writeSeries(w, &f, s.series); err != nil {
 				return err
 			}
 		}
@@ -34,7 +34,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+func writeSeries(w io.Writer, f *exposedFamily, s *series) error {
 	switch f.kind {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelBlock(s.labels, "", 0), s.c.Value())

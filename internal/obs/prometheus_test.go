@@ -72,6 +72,24 @@ func TestLabelOrderDoesNotSplitSeries(t *testing.T) {
 	if got, want := b.String(), "x_total{a=\"1\",b=\"2\"} 2\n"; !strings.Contains(got, want) {
 		t.Errorf("exposition %q missing %q", got, want)
 	}
+
+	// Every ordering of a three-pair list resolves to one series.
+	r = NewRegistry()
+	pairs := [][2]string{{"a", "1"}, {"b", "2"}, {"c", "3"}}
+	for _, perm := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		var labels []string
+		for _, p := range perm {
+			labels = append(labels, pairs[p][0], pairs[p][1])
+		}
+		r.Counter("y_total", labels...).Inc()
+	}
+	b.Reset()
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.String(), "# TYPE y_total counter\ny_total{a=\"1\",b=\"2\",c=\"3\"} 6\n"; got != want {
+		t.Errorf("six orderings of three pairs: exposition %q, want %q", got, want)
+	}
 }
 
 func TestKindMismatchPanics(t *testing.T) {

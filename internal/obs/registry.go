@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -31,16 +31,16 @@ func (k metricKind) String() string {
 type family struct {
 	name   string
 	kind   metricKind
-	help   string
 	bounds []float64          // histogram families only
 	series map[string]*series // keyed by canonical label signature
 }
 
-// series is one (name, labels) time series.
+// series is one (name, labels) time series. Counter and gauge values live
+// inline, so they need no allocation of their own.
 type series struct {
 	labels []string // alternating key, value — sorted by key
-	c      *Counter
-	g      *Gauge
+	c      Counter
+	g      Gauge
 	h      *Histogram
 }
 
@@ -71,7 +71,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 		return nil
 	}
 	s := r.lookup(name, kindCounter, nil, labels)
-	return s.c
+	return &s.c
 }
 
 // Gauge returns the gauge named name with the given label pairs.
@@ -80,7 +80,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 		return nil
 	}
 	s := r.lookup(name, kindGauge, nil, labels)
-	return s.g
+	return &s.g
 }
 
 // Histogram returns the histogram named name over the given upper bounds
@@ -143,12 +143,7 @@ func (r *Registry) lookup(name string, kind metricKind, bounds []float64, labels
 	s, ok := f.series[sig]
 	if !ok {
 		s = &series{labels: canon}
-		switch kind {
-		case kindCounter:
-			s.c = &Counter{}
-		case kindGauge:
-			s.g = &Gauge{}
-		case kindHistogram:
+		if kind == kindHistogram {
 			s.h = newHistogram(f.bounds)
 		}
 		f.series[sig] = s
@@ -156,33 +151,42 @@ func (r *Registry) lookup(name string, kind metricKind, bounds []float64, labels
 	return s
 }
 
-// sortedFamilies returns the families in name order and each family's
-// series in label-signature order — the deterministic walk both
-// expositions share.
-func (r *Registry) sortedFamilies() []*family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		if help, ok := r.helps[f.name]; ok {
-			f.help = help
-		}
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+// exposedFamily is one family as an exposition walks it: a copy taken
+// under the registry lock, so a scrape never reads a series map that a
+// concurrent registration is writing.
+type exposedFamily struct {
+	name   string
+	kind   metricKind
+	help   string
+	series []exposedSeries // sorted by label signature
 }
 
-// sortedSeries returns one family's series in label order.
-func (f *family) sortedSeries() []*series {
-	sigs := make([]string, 0, len(f.series))
-	for sig := range f.series {
-		sigs = append(sigs, sig)
+// exposedSeries pairs a series with its label signature, the sort key.
+type exposedSeries struct {
+	sig string
+	*series
+}
+
+// sortedFamilies returns the families in name order and each family's
+// series in label-signature order — the deterministic walk both
+// expositions share. Only the copy runs under the lock; the sorting,
+// O(series log series) on a large fleet, runs after it is released so
+// first sights do not queue behind a scrape.
+func (r *Registry) sortedFamilies() []exposedFamily {
+	r.mu.Lock()
+	out := make([]exposedFamily, 0, len(r.families))
+	for _, f := range r.families {
+		ef := exposedFamily{name: f.name, kind: f.kind, help: r.helps[f.name],
+			series: make([]exposedSeries, 0, len(f.series))}
+		for sig, s := range f.series {
+			ef.series = append(ef.series, exposedSeries{sig, s})
+		}
+		out = append(out, ef)
 	}
-	sort.Strings(sigs)
-	out := make([]*series, len(sigs))
-	for i, sig := range sigs {
-		out[i] = f.series[sig]
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b exposedFamily) int { return strings.Compare(a.name, b.name) })
+	for _, ef := range out {
+		slices.SortFunc(ef.series, func(a, b exposedSeries) int { return strings.Compare(a.sig, b.sig) })
 	}
 	return out
 }
@@ -204,26 +208,26 @@ func validateName(name string) error {
 }
 
 // canonicalLabels validates alternating key/value pairs and returns them
-// sorted by key so label order never splits a series.
+// sorted by key so label order never splits a series. Label lists hold one
+// or two pairs, so an insertion sort over the output slice beats sort.Slice
+// (reflection plus a scratch slice); equal keys keep their given order.
 func canonicalLabels(labels []string) ([]string, error) {
 	if len(labels) == 0 {
 		return nil, nil
 	}
 	if len(labels)%2 != 0 {
-		return nil, fmt.Errorf("odd label list %q", labels)
+		// Format a copy so the caller's variadic slice never escapes.
+		return nil, fmt.Errorf("odd label list %q", append([]string(nil), labels...))
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	out := make([]string, 0, len(labels))
 	for i := 0; i < len(labels); i += 2 {
 		if err := validateName(labels[i]); err != nil {
 			return nil, fmt.Errorf("label key %q invalid", labels[i])
 		}
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	out := make([]string, 0, len(labels))
-	for _, p := range pairs {
-		out = append(out, p.k, p.v)
+		out = append(out, labels[i], labels[i+1])
+		for j := len(out) - 2; j > 0 && out[j-2] > out[j]; j -= 2 {
+			out[j-2], out[j-1], out[j], out[j+1] = out[j], out[j+1], out[j-2], out[j-1]
+		}
 	}
 	return out, nil
 }

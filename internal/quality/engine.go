@@ -67,7 +67,6 @@ type Engine struct {
 	cfg      Config
 	met      engineMetrics
 	sources  map[string]*source
-	names    []string // sorted source names
 	observed int64
 }
 
@@ -101,8 +100,6 @@ func (e *Engine) Observe(o Observation) {
 		s = newSource(o.Source, e.cfg.Window, e.cfg.PH)
 		s.met = newSourceMetrics(e.cfg.Metrics, o.Source)
 		e.sources[o.Source] = s
-		e.names = append(e.names, o.Source) //lint:ignore hotpath-alloc first sight of a new source only; amortized to nothing per observation
-		sort.Strings(e.names)
 	}
 	e.observed++
 	sm := sample{
@@ -173,11 +170,12 @@ func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
+	names := e.sortedNames()
 	rep := &Report{
 		Observations: e.observed,
-		Sources:      make([]SourceReport, 0, len(e.names)),
+		Sources:      make([]SourceReport, 0, len(names)),
 	}
-	for _, name := range e.names {
+	for _, name := range names {
 		s := e.sources[name]
 		if s.lastAt > rep.At {
 			rep.At = s.lastAt
@@ -248,5 +246,18 @@ func (e *Engine) Sources() []string {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]string(nil), e.names...)
+	return e.sortedNames()
+}
+
+// sortedNames returns the tracked source names in order. Sorting here, at
+// report time, rather than on every first sight keeps a new source O(1) on
+// the Observe path; a report already walks every source. Called with the
+// engine lock held.
+func (e *Engine) sortedNames() []string {
+	names := make([]string, 0, len(e.sources))
+	for name := range e.sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

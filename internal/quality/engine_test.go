@@ -1,9 +1,12 @@
 package quality
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -112,6 +115,70 @@ func TestReportSourcesSortedAndFinite(t *testing.T) {
 		t.Errorf("report at = %v, want latest virtual time 79", rep.At)
 	}
 	assertFinite(t, reflect.ValueOf(*rep), "report")
+
+	// Source order is settled at report time, so the order in which
+	// sources are first seen — or a report taken while only some exist —
+	// must not show in Sources() or in the report's bytes.
+	names := []string{"zeta", "alpha", "mid", "pen-10", "pen-2", "beta", "pen-1", "omega"}
+	seeds := make(map[string]int64, len(names))
+	for i, n := range names {
+		seeds[n] = int64(i) + 11
+	}
+	feed := func(e *Engine, order []string) {
+		for _, src := range order {
+			for _, o := range streamFor(src, 80, seeds[src]) {
+				o.Source = src
+				e.Observe(o)
+			}
+		}
+	}
+	reportJSON := func(e *Engine) []byte {
+		t.Helper()
+		got := e.Sources()
+		if !sort.StringsAreSorted(got) || len(got) != len(names) {
+			t.Fatalf("Sources() = %q, want all %d names sorted", got, len(names))
+		}
+		b, err := json.Marshal(e.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	inOrder := NewEngine(Config{Threshold: 0.6, Reference: testRef()})
+	feed(inOrder, names)
+	want := reportJSON(inOrder)
+
+	shuffled := append([]string(nil), names...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	reversed := make([]string, len(names))
+	for i, n := range names {
+		reversed[len(names)-1-i] = n
+	}
+	for _, tc := range []struct {
+		name  string
+		order []string
+	}{{"shuffled", shuffled}, {"reversed", reversed}} {
+		e := NewEngine(Config{Threshold: 0.6, Reference: testRef()})
+		feed(e, tc.order)
+		if got := reportJSON(e); !bytes.Equal(got, want) {
+			t.Errorf("%s first sight changed the report:\n got %s\nwant %s", tc.name, got, want)
+		}
+	}
+
+	split := NewEngine(Config{Threshold: 0.6, Reference: testRef()})
+	feed(split, reversed[:3])
+	if got := split.Sources(); !sort.StringsAreSorted(got) || len(got) != 3 {
+		t.Errorf("Sources() after three first sights = %q, want 3 sorted names", got)
+	}
+	if rep := split.Report(); len(rep.Sources) != 3 {
+		t.Errorf("interim report has %d sources, want 3", len(rep.Sources))
+	}
+	feed(split, reversed[3:])
+	if got := reportJSON(split); !bytes.Equal(got, want) {
+		t.Errorf("report, new sources, report changed the bytes:\n got %s\nwant %s", got, want)
+	}
 }
 
 // assertFinite walks a value recursively and fails on any NaN or ±Inf.
